@@ -21,8 +21,9 @@ var goldenOpts = Opts{Bits: 24, Samples: 25}
 // would miss.
 var goldenSeeds = []uint64{1, 2}
 
-// goldenArtifacts are the channel tables and the d-sweep — the paper
-// numbers a sweep-engine refactor is most likely to perturb. The cheap
+// goldenArtifacts are the channel tables, the d-sweep and the
+// fingerprinting distances — the paper numbers a sweep-engine or
+// cycle-loop refactor is most likely to perturb. The cheap
 // set runs under -short too; the expensive set (multi-second power,
 // SGX, and MT renders) only in full mode, which is the repository's
 // tier-1 gate.
@@ -36,12 +37,13 @@ var goldenArtifacts = []struct {
 	{"tableV", true},
 	{"tableVI", true},
 	{"figure8", true},
+	{"figure12", true},
 	{"tableXII", true},
 	{"advisoryXII", true},
 }
 
 // TestGoldenRenderings pins the rendered bytes of Tables II-VI and
-// Figure 8 at two fixed seeds against committed files: a refactor of
+// Figures 8 and 12 at two fixed seeds against committed files: a refactor of
 // the channel stack (spec, sweep, attack layers) that drifts any
 // paper number by even one formatting unit fails here instead of
 // landing silently. Regenerate intentionally with
