@@ -42,11 +42,54 @@ func portMask(k isa.Kind) uint8 {
 	}
 }
 
-// UOpSource is where the backend pulls micro-ops from (the frontend's
-// per-thread IDQs).
-type UOpSource interface {
-	PopUOp(t int) (isa.Inst, bool)
-	IDQLen(t int) int
+// IDQ is one hardware thread's Instruction Decode Queue: the micro-op
+// buffer between frontend delivery and backend retirement (Figure 1).
+// The frontend pushes into it and the backend pops from it directly, so
+// retirement makes no indirect call per micro-op. The buffer is sized
+// to the next power of two above the IDQ capacity so the ring
+// arithmetic is a mask instead of a modulo.
+type IDQ struct {
+	buf  []isa.Inst
+	mask int
+	head int
+	size int // micro-ops buffered
+}
+
+// NewIDQ builds a queue that holds capacity micro-ops.
+func NewIDQ(capacity int) IDQ {
+	n := 1
+	for n <= capacity {
+		n <<= 1
+	}
+	return IDQ{buf: make([]isa.Inst, n), mask: n - 1}
+}
+
+// Len returns the micro-ops buffered.
+func (q *IDQ) Len() int { return q.size }
+
+// Push appends one instruction's micro-ops.
+func (q *IDQ) Push(in isa.Inst) {
+	q.buf[(q.head+q.size)&q.mask] = in
+	q.size += int(in.UOps)
+}
+
+// Pop removes the oldest instruction; ok is false when the queue is
+// empty.
+func (q *IDQ) Pop() (in isa.Inst, ok bool) {
+	if q.size == 0 {
+		return isa.Inst{}, false
+	}
+	in = q.buf[q.head]
+	q.head = (q.head + 1) & q.mask
+	q.size -= int(in.UOps)
+	return in, true
+}
+
+// Clone returns a copy of the queue that shares no buffer with q.
+func (q *IDQ) Clone() IDQ {
+	c := *q
+	c.buf = append([]isa.Inst(nil), q.buf...)
+	return c
 }
 
 // MemHook observes retiring memory micro-ops (the CPU core wires this to
@@ -67,10 +110,11 @@ type Backend struct {
 // New builds a backend.
 func New(p Params) *Backend { return &Backend{P: p} }
 
-// Cycle retires up to RetireWidth micro-ops per thread, sharing the
-// execution ports between the two threads; the first thread considered
-// alternates each cycle. It returns the total retired this cycle.
-func (b *Backend) Cycle(src UOpSource, mem MemHook) int {
+// Cycle retires up to RetireWidth micro-ops per thread from the two
+// threads' queues, sharing the execution ports between the threads; the
+// first thread considered alternates each cycle. It returns the total
+// retired this cycle.
+func (b *Backend) Cycle(q *[2]IDQ, mem MemHook) int {
 	var portsBusy uint8
 	total := 0
 	first := b.prio
@@ -78,9 +122,7 @@ func (b *Backend) Cycle(src UOpSource, mem MemHook) int {
 	for i := 0; i < 2; i++ {
 		t := first ^ i
 		for n := 0; n < b.P.RetireWidth; n++ {
-			// Pop-and-check: the failed pop doubles as the empty-queue
-			// test, so the hot loop makes one interface call per micro-op.
-			in, ok := src.PopUOp(t)
+			in, ok := q[t].Pop()
 			if !ok {
 				break
 			}

@@ -6,46 +6,38 @@ import (
 	"repro/internal/isa"
 )
 
-// fakeIDQ is a trivial UOpSource for tests.
-type fakeIDQ struct {
-	q [2][]isa.Inst
+// queues builds the two threads' empty IDQs at the frontend's default
+// capacity.
+func queues() *[2]IDQ {
+	return &[2]IDQ{NewIDQ(64), NewIDQ(64)}
 }
 
-func (f *fakeIDQ) PopUOp(t int) (isa.Inst, bool) {
-	if len(f.q[t]) == 0 {
-		return isa.Inst{}, false
+// fill pushes n one-µop instructions of kind k.
+func fill(q *IDQ, k isa.Kind, n int) {
+	for i := 0; i < n; i++ {
+		q.Push(isa.Inst{Kind: k, UOps: 1, Len: 1})
 	}
-	in := f.q[t][0]
-	f.q[t] = f.q[t][1:]
-	return in, true
-}
-
-func (f *fakeIDQ) IDQLen(t int) int { return len(f.q[t]) }
-
-func fill(k isa.Kind, n int) []isa.Inst {
-	out := make([]isa.Inst, n)
-	for i := range out {
-		out[i] = isa.Inst{Kind: k, UOps: 1, Len: 1}
-	}
-	return out
 }
 
 func TestRetireWidth(t *testing.T) {
 	b := New(DefaultParams())
-	idq := &fakeIDQ{}
-	idq.q[0] = fill(isa.Nop, 20)
-	got := b.Cycle(idq, nil)
+	q := queues()
+	fill(&q[0], isa.Nop, 20)
+	got := b.Cycle(q, nil)
 	if got != 4 {
 		t.Errorf("retired %d, want 4 (retire width)", got)
+	}
+	if q[0].Len() != 16 {
+		t.Errorf("IDQ holds %d after one cycle, want 16", q[0].Len())
 	}
 }
 
 func TestBothThreadsRetire(t *testing.T) {
 	b := New(DefaultParams())
-	idq := &fakeIDQ{}
-	idq.q[0] = fill(isa.Nop, 10)
-	idq.q[1] = fill(isa.Nop, 10)
-	got := b.Cycle(idq, nil)
+	q := queues()
+	fill(&q[0], isa.Nop, 10)
+	fill(&q[1], isa.Nop, 10)
+	got := b.Cycle(q, nil)
 	if got != 8 {
 		t.Errorf("retired %d, want 8 (4 per thread, nops use no ports)", got)
 	}
@@ -55,9 +47,9 @@ func TestMixBlockAvoidsPortConflicts(t *testing.T) {
 	// Section IV-D: 4 mov + 1 jmp must not contend. Over a full cycle, 4
 	// movs fit ports {0,1,5,6}.
 	b := New(DefaultParams())
-	idq := &fakeIDQ{}
-	idq.q[0] = fill(isa.Mov, 4)
-	b.Cycle(idq, nil)
+	q := queues()
+	fill(&q[0], isa.Mov, 4)
+	b.Cycle(q, nil)
 	if b.PortConflicts != 0 {
 		t.Errorf("mix block movs caused %d port conflicts", b.PortConflicts)
 	}
@@ -68,9 +60,9 @@ func TestStoreContention(t *testing.T) {
 	// backend must record a conflict — the behaviour the paper's mix
 	// blocks are designed to avoid.
 	b := New(DefaultParams())
-	idq := &fakeIDQ{}
-	idq.q[0] = fill(isa.Store, 4)
-	b.Cycle(idq, nil)
+	q := queues()
+	fill(&q[0], isa.Store, 4)
+	b.Cycle(q, nil)
 	if b.PortConflicts == 0 {
 		t.Error("back-to-back stores should conflict on port 4")
 	}
@@ -79,10 +71,10 @@ func TestStoreContention(t *testing.T) {
 func TestCrossThreadPortSharing(t *testing.T) {
 	// Stores from both threads share the one store port.
 	b := New(DefaultParams())
-	idq := &fakeIDQ{}
-	idq.q[0] = fill(isa.Store, 1)
-	idq.q[1] = fill(isa.Store, 1)
-	b.Cycle(idq, nil)
+	q := queues()
+	fill(&q[0], isa.Store, 1)
+	fill(&q[1], isa.Store, 1)
+	b.Cycle(q, nil)
 	if b.PortConflicts == 0 {
 		t.Error("cross-thread store pressure should conflict")
 	}
@@ -90,10 +82,10 @@ func TestCrossThreadPortSharing(t *testing.T) {
 
 func TestMemHook(t *testing.T) {
 	b := New(DefaultParams())
-	idq := &fakeIDQ{}
-	idq.q[0] = []isa.Inst{{Kind: isa.Load, UOps: 1, MemAddr: 0x1234}}
+	q := queues()
+	q[0].Push(isa.Inst{Kind: isa.Load, UOps: 1, MemAddr: 0x1234})
 	var seen []uint64
-	b.Cycle(idq, func(t int, in isa.Inst) { seen = append(seen, in.MemAddr) })
+	b.Cycle(q, func(t int, in isa.Inst) { seen = append(seen, in.MemAddr) })
 	if len(seen) != 1 || seen[0] != 0x1234 {
 		t.Errorf("mem hook saw %v", seen)
 	}
@@ -101,13 +93,13 @@ func TestMemHook(t *testing.T) {
 
 func TestPriorityAlternates(t *testing.T) {
 	b := New(DefaultParams())
-	idq := &fakeIDQ{}
+	q := queues()
 	// One store each; only the first-considered thread wins the port.
-	idq.q[0] = fill(isa.Store, 8)
-	idq.q[1] = fill(isa.Store, 8)
-	b.Cycle(idq, nil)
+	fill(&q[0], isa.Store, 8)
+	fill(&q[1], isa.Store, 8)
+	b.Cycle(q, nil)
 	r0, r1 := b.Retired[0], b.Retired[1]
-	b.Cycle(idq, nil)
+	b.Cycle(q, nil)
 	// After two cycles priority alternated, so retirement evens out.
 	d0, d1 := b.Retired[0]-r0, b.Retired[1]-r1
 	if d0 == 0 || d1 == 0 {
@@ -117,9 +109,9 @@ func TestPriorityAlternates(t *testing.T) {
 
 func TestRetireCountsPerThread(t *testing.T) {
 	b := New(DefaultParams())
-	idq := &fakeIDQ{}
-	idq.q[0] = fill(isa.Mov, 2)
-	b.Cycle(idq, nil)
+	q := queues()
+	fill(&q[0], isa.Mov, 2)
+	b.Cycle(q, nil)
 	if b.Retired[0] != 2 || b.Retired[1] != 0 {
 		t.Errorf("retired = %v", b.Retired)
 	}

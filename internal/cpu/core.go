@@ -190,7 +190,7 @@ func (c *Core) Step() {
 	}
 
 	// Backend retirement; loads and stores touch the L1D as they execute.
-	retired := c.BE.Cycle(c.FE, c.memHook)
+	retired := c.BE.Cycle(&c.FE.IDQ, c.memHook)
 
 	// Package power accrual from this cycle's frontend activity. The
 	// meter reads only the delivery-path micro-op and stall counters, so
@@ -204,7 +204,7 @@ func (c *Core) Step() {
 
 	// Task completion: stream fully fetched and IDQ drained.
 	for t := 0; t < 2; t++ {
-		if c.cur[t] != nil && c.FE.StreamDone(t) && c.FE.IDQLen(t) == 0 {
+		if c.cur[t] != nil && c.FE.StreamDone(t) && c.FE.IDQ[t].Len() == 0 {
 			task := c.cur[t]
 			c.cur[t] = nil
 			if task.OnDone != nil {

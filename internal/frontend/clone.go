@@ -81,8 +81,10 @@ func (f *Frontend) CloneWith(l1i *cache.Cache) *Frontend {
 		t := t
 		g.BPU[t] = f.BPU[t].Clone()
 		g.lsd[t] = f.lsd[t].cloneWith(g.align)
-		g.idq[t] = f.idq[t]
-		g.idq[t].buf = append([]isa.Inst(nil), f.idq[t].buf...)
+		g.IDQ[t] = f.IDQ[t].Clone()
+		if f.thr[t].loop != nil {
+			g.thr[t].loop = f.thr[t].loop.CloneStream().(*isa.LoopStream)
+		}
 		g.thr[t].stream = cloneStream(f.thr[t].stream)
 		g.dsbRes[t] = func(w uint64) bool { return g.DSB.Contains(t, w) }
 	}
@@ -92,4 +94,9 @@ func (f *Frontend) CloneWith(l1i *cache.Cache) *Frontend {
 // Stream returns thread t's in-flight instruction stream, or nil when
 // drained. The core uses it after a clone to keep its task bookkeeping
 // pointing at the same snapshot the frontend delivers from.
-func (f *Frontend) Stream(t int) isa.Stream { return f.thr[t].stream }
+func (f *Frontend) Stream(t int) isa.Stream {
+	if f.thr[t].loop != nil {
+		return f.thr[t].loop
+	}
+	return f.thr[t].stream
+}

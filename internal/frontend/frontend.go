@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"repro/internal/backend"
 	"repro/internal/branch"
 	"repro/internal/cache"
 	"repro/internal/isa"
@@ -26,7 +27,10 @@ type Frontend struct {
 	align *AlignTracker
 	sw    *switchBuffer
 	thr   [2]fthread
-	idq   [2]idqRing
+
+	// IDQ holds each thread's delivered micro-ops until the backend
+	// retires them.
+	IDQ [2]backend.IDQ
 
 	// dsbRes are the per-thread DSB-residency probes handed to the LSDs,
 	// built once so the per-instruction advance path does not reconstruct
@@ -37,44 +41,11 @@ type Frontend struct {
 	Ctr [2]ThreadCounters
 }
 
-// idqRing is the per-thread Instruction Decode Queue: the micro-op buffer
-// between frontend delivery and backend retirement (Figure 1). The buffer
-// is sized to the next power of two above the IDQ capacity so the ring
-// arithmetic is a mask instead of a modulo.
-type idqRing struct {
-	buf  []isa.Inst
-	mask int
-	head int
-	size int // micro-ops buffered
-}
-
-func newIDQRing(capacity int) idqRing {
-	n := 1
-	for n <= capacity {
-		n <<= 1
-	}
-	return idqRing{buf: make([]isa.Inst, n), mask: n - 1}
-}
-
-func (q *idqRing) free(cap int) int { return cap - q.size }
-
-func (q *idqRing) push(in isa.Inst) {
-	i := (q.head + q.size) & q.mask
-	q.buf[i] = in
-	q.size += int(in.UOps)
-}
-
-func (q *idqRing) pop() (isa.Inst, bool) {
-	if q.size == 0 {
-		return isa.Inst{}, false
-	}
-	in := q.buf[q.head]
-	q.head = (q.head + 1) & q.mask
-	q.size -= int(in.UOps)
-	return in, true
-}
-
 type fthread struct {
+	// The installed stream lives in exactly one of loop and stream: a
+	// *isa.LoopStream — every attack loop — in loop, so fetching calls
+	// its Next statically; any other stream in stream.
+	loop   *isa.LoopStream
 	stream isa.Stream
 	cur    isa.Inst
 	hasCur bool
@@ -107,7 +78,7 @@ func New(p Params, l1i *cache.Cache, lsdEnabled bool) *Frontend {
 		t := t
 		f.BPU[t] = branch.New()
 		f.lsd[t] = NewLSD(p, lsdEnabled, f.align)
-		f.idq[t] = newIDQRing(p.IDQCapacity)
+		f.IDQ[t] = backend.NewIDQ(p.IDQCapacity)
 		f.dsbRes[t] = func(w uint64) bool { return f.DSB.Contains(t, w) }
 	}
 	return f
@@ -139,19 +110,18 @@ func (f *Frontend) DrainTransients(t int) {
 // buffer is shared by both hardware threads, like the hardware it models.
 func (f *Frontend) SwitchBufferStats() SwitchStats { return f.sw.stats }
 
-// IDQLen returns the micro-ops buffered for thread t.
-func (f *Frontend) IDQLen(t int) int { return f.idq[t].size }
-
-// PopUOp removes one micro-op from thread t's IDQ for retirement.
-func (f *Frontend) PopUOp(t int) (isa.Inst, bool) { return f.idq[t].pop() }
-
 // LSDFor exposes a thread's loop stream detector (tests, experiments).
 func (f *Frontend) LSDFor(t int) *LSD { return f.lsd[t] }
 
 // SetStream installs the dynamic instruction stream thread t executes
 // next. Any previous stream is discarded.
 func (f *Frontend) SetStream(t int, s isa.Stream) {
-	f.thr[t].stream = s
+	f.thr[t].loop, f.thr[t].stream = nil, nil
+	if ls, ok := s.(*isa.LoopStream); ok {
+		f.thr[t].loop = ls
+	} else {
+		f.thr[t].stream = s
+	}
 	f.thr[t].hasCur = false
 	f.thr[t].lastFetchLine = ^uint64(0)
 }
@@ -213,7 +183,7 @@ func (f *Frontend) DeliverCycle(t int) (int, Source) {
 		f.Ctr[t].StallCycles++
 		return 0, SrcNone
 	}
-	budget := f.idq[t].free(f.P.IDQCapacity)
+	budget := f.P.IDQCapacity - f.IDQ[t].Len()
 	if budget <= 0 {
 		return 0, SrcNone
 	}
@@ -235,20 +205,18 @@ func (f *Frontend) load(t int) bool {
 	if th.hasCur {
 		return true
 	}
-	if th.stream == nil {
-		return false
-	}
-	// Devirtualize the overwhelmingly common stream type: every attack
-	// loop is a LoopStream, and the static call inlines.
 	var in isa.Inst
 	var ok bool
-	if ls, isLoop := th.stream.(*isa.LoopStream); isLoop {
-		in, ok = ls.Next()
-	} else {
+	switch {
+	case th.loop != nil:
+		in, ok = th.loop.Next()
+	case th.stream != nil:
 		in, ok = th.stream.Next()
+	default:
+		return false
 	}
 	if !ok {
-		th.stream = nil
+		th.loop, th.stream = nil, nil
 		f.finalizeFill(t)
 		return false
 	}
@@ -265,8 +233,8 @@ func (f *Frontend) advance(t int) isa.Inst {
 	in := th.cur
 	th.hasCur = false
 	th.prevLCP = in.HasLCP()
-	f.idq[t].push(in)
-	f.lsd[t].Observe(in, f.dsbRes[t])
+	f.IDQ[t].Push(in)
+	f.lsd[t].Observe(&th.cur, f.dsbRes[t])
 	if in.Kind == isa.Pause {
 		th.stall += f.P.PauseCycles
 	}
@@ -323,7 +291,7 @@ func (f *Frontend) deliverLSD(t, budget int) (int, Source) {
 		}
 		th.hasCur = false
 		th.prevLCP = in.HasLCP()
-		f.idq[t].push(in)
+		f.IDQ[t].Push(in)
 		n += int(in.UOps)
 		if in.Kind == isa.Pause {
 			th.stall += f.P.PauseCycles
@@ -367,7 +335,7 @@ func (f *Frontend) deliverDSB(t, budget int, w uint64) (int, Source) {
 			break
 		}
 		n += int(in.UOps)
-		if isa.Window(in.End()-1) != w {
+		if in.CrossesWindow() {
 			// Window-crossing micro-ops span two DSB lines (Section IV-G).
 			th.stall += f.P.DSBCrossPenalty
 		}

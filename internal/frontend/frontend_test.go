@@ -20,10 +20,10 @@ func run(t *testing.T, f *Frontend, tid int, s isa.Stream) int {
 	t.Helper()
 	f.SetStream(tid, s)
 	cycles := 0
-	for !f.StreamDone(tid) || f.IDQLen(tid) > 0 {
+	for !f.StreamDone(tid) || f.IDQ[tid].Len() > 0 {
 		f.DeliverCycle(tid)
 		for i := 0; i < 4; i++ {
-			f.PopUOp(tid)
+			f.IDQ[tid].Pop()
 		}
 		cycles++
 		if cycles > 5_000_000 {
@@ -293,11 +293,11 @@ func TestIDQBoundsRespected(t *testing.T) {
 	// Never drain: IDQ must cap at capacity.
 	for i := 0; i < 200; i++ {
 		f.DeliverCycle(0)
-		if f.IDQLen(0) > f.P.IDQCapacity {
-			t.Fatalf("IDQ overflow: %d > %d", f.IDQLen(0), f.P.IDQCapacity)
+		if f.IDQ[0].Len() > f.P.IDQCapacity {
+			t.Fatalf("IDQ overflow: %d > %d", f.IDQ[0].Len(), f.P.IDQCapacity)
 		}
 	}
-	if f.IDQLen(0) == 0 {
+	if f.IDQ[0].Len() == 0 {
 		t.Error("IDQ empty after undrained delivery")
 	}
 }

@@ -108,14 +108,12 @@ func (l *LSD) Locks() uint64 { return l.locks }
 // an external event.
 func (l *LSD) Flushes() uint64 { return l.flushes }
 
-// Observe feeds one delivered instruction into loop detection. dsbResident
-// reports whether a window is currently held by this thread in the DSB;
-// the inclusive-hierarchy requirement means a loop can only lock while its
-// windows are all cached.
-func (l *LSD) Observe(in isa.Inst, dsbResident func(window uint64) bool) {
-	wAddr := isa.Window(in.Addr)
-	wEnd := isa.Window(in.End() - 1)
-	crossing := wEnd != wAddr
+// Observe feeds one delivered instruction into loop detection; in is
+// only read. dsbResident reports whether a window is currently held by
+// this thread in the DSB; the inclusive-hierarchy requirement means a
+// loop can only lock while its windows are all cached.
+func (l *LSD) Observe(in *isa.Inst, dsbResident func(window uint64) bool) {
+	crossing := in.CrossesWindow()
 	if crossing {
 		// Misaligned instructions poison the shared alignment tracker
 		// regardless of which thread executes them (Section IV-G, V-B).
@@ -126,9 +124,9 @@ func (l *LSD) Observe(in isa.Inst, dsbResident func(window uint64) bool) {
 	}
 	if l.tracking {
 		l.uops += int(in.UOps)
-		l.noteWindow(wAddr)
+		l.noteWindow(isa.Window(in.Addr))
 		if crossing {
-			l.noteWindow(wEnd)
+			l.noteWindow(isa.Window(in.End() - 1))
 			l.crossings++
 		}
 		if l.uops > l.p.LSDCapacityUOps {

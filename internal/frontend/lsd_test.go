@@ -15,7 +15,7 @@ func observeLoop(l *LSD, blocks []*isa.Block, iters int) {
 		if !ok {
 			return
 		}
-		l.Observe(in, func(uint64) bool { return true })
+		l.Observe(&in, func(uint64) bool { return true })
 	}
 }
 
@@ -115,7 +115,7 @@ func TestLSDResidencyRequired(t *testing.T) {
 		if !ok {
 			break
 		}
-		l.Observe(in, func(uint64) bool { return false })
+		l.Observe(&in, func(uint64) bool { return false })
 	}
 	if l.Locked() {
 		t.Error("locked without DSB residency")

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/backend"
 	"repro/internal/isa"
 )
 
@@ -59,20 +60,20 @@ func TestIDQRingFIFO(t *testing.T) {
 		if len(addrs) > 64 {
 			addrs = addrs[:64]
 		}
-		q := newIDQRing(64)
+		q := backend.NewIDQ(64)
 		for _, a := range addrs {
-			q.push(isa.Inst{Addr: uint64(a), UOps: 1})
+			q.Push(isa.Inst{Addr: uint64(a), UOps: 1})
 		}
-		if q.size != len(addrs) {
+		if q.Len() != len(addrs) {
 			return false
 		}
 		for _, a := range addrs {
-			in, ok := q.pop()
+			in, ok := q.Pop()
 			if !ok || in.Addr != uint64(a) {
 				return false
 			}
 		}
-		_, ok := q.pop()
+		_, ok := q.Pop()
 		return !ok
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -91,12 +92,12 @@ func TestDeliveryConservation(t *testing.T) {
 		fe.SetStream(0, isa.NewLoopStream(blocks, n))
 		popped := 0
 		step := 0
-		for !fe.StreamDone(0) || fe.IDQLen(0) > 0 {
+		for !fe.StreamDone(0) || fe.IDQ[0].Len() > 0 {
 			fe.DeliverCycle(0)
 			// Irregular drain pattern derived from the seed.
 			drain := int(seed>>(uint(step)%3)) % 3
 			for i := 0; i <= drain; i++ {
-				if _, ok := fe.PopUOp(0); ok {
+				if _, ok := fe.IDQ[0].Pop(); ok {
 					popped++
 				}
 			}

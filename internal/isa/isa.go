@@ -88,6 +88,15 @@ func (i Inst) HasLCP() bool { return i.Kind == AddLCP }
 // End returns the address one past the instruction's last byte.
 func (i Inst) End() uint64 { return i.Addr + uint64(i.Len) }
 
+// CrossesWindow reports whether the instruction's last byte lies in a
+// different 32-byte window than its first, i.e. whether
+// Window(End()-1) != Window(Addr). The offset arithmetic wraps exactly
+// as End()-1 does: a zero-length instruction at a window start "ends"
+// in the previous window, so it counts as crossing.
+func (i Inst) CrossesWindow() bool {
+	return i.Addr&(WindowBytes-1)+uint64(i.Len)-1 >= WindowBytes
+}
+
 // Geometry of the frontend structures as documented in the paper
 // (Section IV-B) and Intel's optimization manual. These constants are the
 // address-layout contract between code placement and DSB indexing.

@@ -213,6 +213,24 @@ func TestInstHelpers(t *testing.T) {
 	}
 }
 
+// TestCrossesWindowExhaustive checks the offset arithmetic against the
+// window comparison it must equal, for every byte offset in a 64-byte
+// span and every instruction length, including zero-length instructions
+// and addresses whose End() wraps past 2^64.
+func TestCrossesWindowExhaustive(t *testing.T) {
+	for _, base := range []uint64{0, codeBase, ^uint64(0) - 63} {
+		for off := uint64(0); off < 64; off++ {
+			for n := 0; n < 256; n++ {
+				in := Inst{Addr: base + off, Len: uint8(n)}
+				want := Window(in.End()-1) != Window(in.Addr)
+				if got := in.CrossesWindow(); got != want {
+					t.Fatalf("Addr %#x Len %d: CrossesWindow = %v, want %v", in.Addr, n, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{Mov: "mov", Add: "add", AddLCP: "add66", Jmp: "jmp", Nop: "nop", Load: "load", Store: "store"} {
 		if got := k.String(); got != want {
