@@ -87,8 +87,8 @@ func (q *IDQ) Pop() (in isa.Inst, ok bool) {
 
 // Clone returns a copy of the queue that shares no buffer with q.
 func (q *IDQ) Clone() IDQ {
-	c := *q
-	c.buf = append([]isa.Inst(nil), q.buf...)
+	var c IDQ
+	q.CopyTo(&c)
 	return c
 }
 

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -250,5 +252,63 @@ func TestInvariantOccupancyBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRepeatsKnowsEveryField pins Cache's field list: a new field must
+// be classified in Repeats and Extrapolate before it is added here.
+func TestRepeatsKnowsEveryField(t *testing.T) {
+	want := []string{"cfg", "lines", "tick", "stats"}
+	typ := reflect.TypeOf(Cache{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		got = append(got, typ.Field(i).Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("Cache fields = %v, Repeats knows %v", got, want)
+	}
+}
+
+// TestExtrapolateMatchesRepeatedAccess checks Repeats and Extrapolate
+// against the accesses themselves: after one period of a repeating
+// pattern, extrapolating m periods must land on the state m more
+// periods of the pattern reach, stamps and statistics included.
+func TestExtrapolateMatchesRepeatedAccess(t *testing.T) {
+	// Two resident lines hit in set 1 while set 2 holds a line the
+	// pattern never touches; set 0 cycles 8 lines through its 8 ways.
+	period := []uint64{0x40, 0x1040, 0x40}
+	for i := uint64(0); i < 8; i++ {
+		period = append(period, i*0x1000)
+	}
+	c := l1()
+	c.Access(0x80)
+	run := func(c *Cache, n int) {
+		for ; n > 0; n-- {
+			for _, a := range period {
+				c.Access(a)
+			}
+		}
+	}
+	run(c, 3)
+	var prev Cache
+	c.CopyTo(&prev)
+	run(c, 1)
+	if !c.Repeats(&prev) {
+		t.Fatal("a repeating access pattern does not repeat")
+	}
+	want := c.Clone()
+	run(want, 5)
+	c.Extrapolate(&prev, 5)
+	if !reflect.DeepEqual(c, want) {
+		t.Fatalf("extrapolated cache differs from repeated access:\n got %+v\nwant %+v", *c, *want)
+	}
+
+	// One extra access breaks the repeat: the period's own stamps then
+	// move by one tick less than the tick delta.
+	c.CopyTo(&prev)
+	run(c, 1)
+	c.Access(0x80)
+	if c.Repeats(&prev) {
+		t.Fatal("an extra access counted as a repeat")
 	}
 }

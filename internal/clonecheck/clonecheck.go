@@ -17,6 +17,7 @@ type Option func(*config)
 
 type config struct {
 	allowed map[reflect.Type]bool
+	ignored map[reflect.Type]map[string]bool // Diff only
 }
 
 // AllowType marks the types of the sample values as immutable by

@@ -125,3 +125,35 @@ func TestSharedHandlesUnexportedFields(t *testing.T) {
 		t.Fatalf("distinct maps flagged: %v", got)
 	}
 }
+
+func TestDiff(t *testing.T) {
+	type leaf struct {
+		F       float64
+		scratch []int
+	}
+	type root struct {
+		Name string
+		L    *leaf
+		S    []uint8
+		I    any
+		Fn   func()
+	}
+	mk := func() *root {
+		return &root{Name: "a", L: &leaf{F: 1.5, scratch: []int{1}}, S: []uint8{1, 2}, I: &leaf{F: 2}, Fn: func() {}}
+	}
+	if d := Diff(mk(), mk()); len(d) != 0 {
+		t.Fatalf("equal graphs differ: %v", d)
+	}
+	a, b := mk(), mk()
+	b.L.F = 1.75
+	b.S[1] = 3
+	b.I.(*leaf).F = -2
+	b.L.scratch[0] = 9
+	d := Diff(a, b)
+	if len(d) != 4 {
+		t.Fatalf("want 4 differences, got %v", d)
+	}
+	if d := Diff(a, b, IgnoreFields(leaf{}, "F", "scratch"), IgnoreFields(root{}, "S")); len(d) != 0 {
+		t.Fatalf("ignored fields still differ: %v", d)
+	}
+}

@@ -58,6 +58,25 @@ func BenchmarkCoreStepSMT(b *testing.B) {
 	benchSteps(b, NewCore(Gold6226(), 1), [2][]*isa.Block{attacker, w.PhaseBlocks(0)})
 }
 
+// BenchmarkCoreRunUntilIdle times a lone thread running benchLoop for
+// 20,000 iterations to completion per op, the shape of a power bit or
+// an SGX sender: one thread loops, the other is idle, so the run loop
+// fast-forwards all but the first and last few iterations.
+func BenchmarkCoreRunUntilIdle(b *testing.B) {
+	c := NewCore(Gold6226(), 1)
+	blocks := benchLoop()
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := c.Cycle()
+	for i := 0; i < b.N; i++ {
+		c.Enqueue(0, isa.NewLoopStream(blocks, 20_000), nil)
+		c.RunUntilIdle(100_000_000)
+	}
+	cycles := float64(c.Cycle() - start)
+	b.ReportMetric(cycles/float64(b.N), "sim-cycles/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/cycles, "ns/sim-cycle")
+}
+
 // BenchmarkCoreRunTimed times one full timed attack step (protocol
 // overhead, stream execution, noisy measurement) at the non-MT channel's
 // default p=10 scale.

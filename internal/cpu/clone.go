@@ -12,21 +12,20 @@ import "repro/internal/isa"
 // the leakage-contract executor clones mid-stream.
 func (c *Core) Clone() *Core {
 	d := &Core{
-		Model:      c.Model,
-		BE:         c.BE.Clone(),
-		L1I:        c.L1I.Clone(),
-		L1D:        c.L1D.Clone(),
-		PM:         c.PM.Clone(),
-		TSC:        c.TSC.Clone(),
-		R:          c.R.Clone(),
-		cycle:      c.cycle,
-		lastActive: c.lastActive,
-		lastBoth:   c.lastBoth,
-		miteHold:   c.miteHold,
-		prevLSD:    c.prevLSD,
-		prevDSB:    c.prevDSB,
-		prevMITE:   c.prevMITE,
-		prevStall:  c.prevStall,
+		Model:     c.Model,
+		BE:        c.BE.Clone(),
+		L1I:       c.L1I.Clone(),
+		L1D:       c.L1D.Clone(),
+		PM:        c.PM.Clone(),
+		TSC:       c.TSC.Clone(),
+		R:         c.R.Clone(),
+		cycle:     c.cycle,
+		lastBoth:  c.lastBoth,
+		miteHold:  c.miteHold,
+		prevLSD:   c.prevLSD,
+		prevDSB:   c.prevDSB,
+		prevMITE:  c.prevMITE,
+		prevStall: c.prevStall,
 	}
 	d.FE = c.FE.CloneWith(d.L1I)
 	for t := 0; t < 2; t++ {

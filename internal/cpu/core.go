@@ -44,13 +44,12 @@ type Core struct {
 	TSC   *timer.TSC
 	R     *rng.RNG
 
-	cycle      uint64
-	queue      [2][]*Task
-	qhead      [2]int // next undispatched index into queue[t]
-	cur        [2]*Task
-	lastActive [2]uint64
-	lastBoth   uint64
-	miteHold   int // thread holding the fetch slot an extra cycle, or -1
+	cycle    uint64
+	queue    [2][]*Task
+	qhead    [2]int // next undispatched index into queue[t]
+	cur      [2]*Task
+	lastBoth uint64
+	miteHold int // thread holding the fetch slot an extra cycle, or -1
 
 	// memHook is the L1D wiring passed to the backend every cycle, built
 	// once so Step does not rebuild the closure.
@@ -137,9 +136,6 @@ func (c *Core) Step() {
 				task.miteBefore = c.FE.Ctr[t].UOpsMITE
 			}
 		}
-		if c.cur[t] != nil {
-			c.lastActive[t] = c.cycle
-		}
 	}
 
 	// SMT partition management (Section IV-B): the DSB partitions while
@@ -218,17 +214,25 @@ func (c *Core) Step() {
 }
 
 // finishMeasure reports a measurement task's noisy timing, exactly as
-// RunTimed would: serializing-timer noise on the duration plus protocol
-// overhead, and MITE jitter scaled by the legacy-decoded micro-op count.
+// RunTimed would.
 func (c *Core) finishMeasure(t int, task *Task) {
-	m := c.TSC.Measure(float64(c.cycle-task.start) + c.Model.ProtocolOverheadCycles)
-	if mu := float64(c.FE.Ctr[t].UOpsMITE - task.miteBefore); mu > 0 && c.Model.MITEJitterSqrtUOp > 0 {
+	task.measCb(c.measure(float64(c.cycle-task.start), c.Model.ProtocolOverheadCycles, c.FE.Ctr[t].UOpsMITE-task.miteBefore))
+}
+
+// measure is the noisy reading of a timed step that took dur cycles plus
+// overhead cycles of measurement handshake and decoded miteUOps
+// micro-ops through MITE: serializing-timer noise on the total, then
+// MITE jitter scaled by the legacy-decoded micro-op count (see
+// Model.MITEJitterSqrtUOp). It draws from the TSC first, then from c.R.
+func (c *Core) measure(dur, overhead float64, miteUOps uint64) float64 {
+	m := c.TSC.Measure(dur + overhead)
+	if mu := float64(miteUOps); mu > 0 && c.Model.MITEJitterSqrtUOp > 0 {
 		m += c.R.NormScaled(0, c.Model.MITEJitterSqrtUOp*math.Sqrt(mu))
 	}
 	if m < 0 {
 		m = 0
 	}
-	task.measCb(m)
+	return m
 }
 
 // AbortThread drops thread t's current task and queue without running
@@ -241,21 +245,35 @@ func (c *Core) AbortThread(t int) {
 	c.FE.SetStream(t, nil)
 }
 
-// RunCycles advances exactly n cycles.
+// RunCycles advances exactly n cycles. Stretches the core can prove
+// repeat are fast-forwarded (see fastForward), with the same result as
+// stepping them.
 func (c *Core) RunCycles(n uint64) {
-	for i := uint64(0); i < n; i++ {
+	ff := newFastForward()
+	defer ff.release()
+	end := c.cycle + n
+	for c.cycle < end {
 		c.Step()
+		if ff.mayApply(c) && !c.skipIdle(end) {
+			ff.skipLoop(c, end)
+		}
 	}
 }
 
 // RunUntilIdle steps until both threads drain, or panics after maxCycles
-// as a runaway guard.
+// as a runaway guard. Like RunCycles it fast-forwards repeating
+// stretches, never past the cycle at which the guard fires.
 func (c *Core) RunUntilIdle(maxCycles uint64) {
+	ff := newFastForward()
+	defer ff.release()
 	start := c.cycle
 	for !c.Idle() {
 		c.Step()
 		if c.cycle-start > maxCycles {
 			panic(fmt.Sprintf("cpu: RunUntilIdle exceeded %d cycles", maxCycles))
+		}
+		if ff.mayApply(c) {
+			ff.skipLoop(c, start+maxCycles)
 		}
 	}
 }
@@ -266,22 +284,9 @@ func (c *Core) RunUntilIdle(maxCycles uint64) {
 // through MITE pick up extra jitter proportional to the legacy-decoded
 // micro-op count (see Model.MITEJitterPerUOp).
 func (c *Core) RunTimed(t int, s isa.Stream) float64 {
-	var dur float64
-	before := c.FE.Ctr[t].UOpsMITE
 	// The measurement handshake (serializing rdtscp pairs, fences, loop
 	// setup) occupies real time as well as appearing in the reading.
-	c.RunCycles(uint64(c.Model.ProtocolOverheadCycles))
-	c.Enqueue(t, s, func(start, end uint64) { dur = float64(end - start) })
-	c.RunUntilIdle(100_000_000)
-	miteUOps := float64(c.FE.Ctr[t].UOpsMITE - before)
-	m := c.TSC.Measure(dur + c.Model.ProtocolOverheadCycles)
-	if miteUOps > 0 && c.Model.MITEJitterSqrtUOp > 0 {
-		m += c.R.NormScaled(0, c.Model.MITEJitterSqrtUOp*math.Sqrt(miteUOps))
-	}
-	if m < 0 {
-		m = 0
-	}
-	return m
+	return c.runTimed(t, s, c.Model.ProtocolOverheadCycles)
 }
 
 // RunTimedTight is RunTimed with only the in-process rdtscp overhead
@@ -289,19 +294,18 @@ func (c *Core) RunTimed(t int, s isa.Stream) float64 {
 // timing mode of a Spectre attacker probing its own structures.
 func (c *Core) RunTimedTight(t int, s isa.Stream) float64 {
 	const tightOverhead = 60
+	return c.runTimed(t, s, tightOverhead)
+}
+
+// runTimed runs overhead cycles of handshake, then s on thread t to
+// completion, and returns the noisy measurement of the two.
+func (c *Core) runTimed(t int, s isa.Stream, overhead float64) float64 {
 	var dur float64
 	before := c.FE.Ctr[t].UOpsMITE
-	c.RunCycles(tightOverhead)
+	c.RunCycles(uint64(overhead))
 	c.Enqueue(t, s, func(start, end uint64) { dur = float64(end - start) })
 	c.RunUntilIdle(100_000_000)
-	m := c.TSC.Measure(dur + tightOverhead)
-	if mu := float64(c.FE.Ctr[t].UOpsMITE - before); mu > 0 && c.Model.MITEJitterSqrtUOp > 0 {
-		m += c.R.NormScaled(0, c.Model.MITEJitterSqrtUOp*math.Sqrt(mu))
-	}
-	if m < 0 {
-		m = 0
-	}
-	return m
+	return c.measure(dur, overhead, c.FE.Ctr[t].UOpsMITE-before)
 }
 
 // MeasureEnqueue schedules a stream on thread t whose duration is

@@ -26,11 +26,9 @@ func (d *DSB) Clone() *DSB {
 // alignment tracker (the tracker is shared by both threads' detectors on
 // a core, so the core clones it once and hands it to both).
 func (l *LSD) cloneWith(align *AlignTracker) *LSD {
-	c := *l
-	c.align = align
-	c.windows = append([]uint64(nil), l.windows...)
-	c.lockedWindows = append([]uint64(nil), l.lockedWindows...)
-	return &c
+	c := &LSD{align: align}
+	l.copyTo(c)
+	return c
 }
 
 // Clone returns a copy of the alignment tracker.
@@ -40,10 +38,9 @@ func (a *AlignTracker) Clone() *AlignTracker {
 }
 
 func (b *switchBuffer) clone() *switchBuffer {
-	c := *b
-	c.addrs = append([]uint64(nil), b.addrs...)
-	c.counts = append([]uint8(nil), b.counts...)
-	return &c
+	c := &switchBuffer{}
+	b.copyTo(c)
+	return c
 }
 
 // cloneStream snapshots an in-flight instruction stream. Streams built

@@ -142,7 +142,12 @@ func (l *LSD) Observe(in *isa.Inst, dsbResident func(window uint64) bool) {
 		// Completed one full iteration of the candidate loop.
 		sig := loopSig{head: l.head, uops: l.uops, windows: len(l.windows), crossings: l.crossings}
 		if sig == l.lastSig {
-			l.stable++
+			// Only the threshold comparison below reads the count, so
+			// it saturates there instead of growing with every
+			// iteration of a loop that never locks.
+			if l.stable < l.p.LSDLockIterations {
+				l.stable++
+			}
 		} else {
 			l.stable = 1
 			l.lastSig = sig

@@ -77,6 +77,35 @@ func (s *LoopStream) Next() (Inst, bool) {
 	return in, true
 }
 
+// Progress reports how far the stream has got: the iterations it has
+// fully yielded, the total it will yield, and the body index of the
+// next instruction.
+func (s *LoopStream) Progress() (iter, iters, pos int) { return s.iter, s.iters, s.pos }
+
+// Repeats reports whether s is prev advanced by whole iterations: the
+// same body, the same iteration count, the same body position and more
+// iterations done. Every body instruction must be a single micro-op,
+// which the frontend's IDQ relies on to treat a rotated ring as equal.
+func (s *LoopStream) Repeats(prev *LoopStream) bool {
+	if len(s.flat) != len(prev.flat) || &s.flat[0] != &prev.flat[0] ||
+		s.iters != prev.iters || s.pos != prev.pos || s.iter <= prev.iter {
+		return false
+	}
+	for i := range s.flat {
+		if s.flat[i].UOps != 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// Extrapolate advances s by m more periods of its progress since prev.
+// The caller keeps the result short of the final iteration, whose
+// back-edge falls through.
+func (s *LoopStream) Extrapolate(prev *LoopStream, m uint64) {
+	s.iter += int(m) * (s.iter - prev.iter)
+}
+
 // SeqStream yields a fixed instruction slice once.
 type SeqStream struct {
 	insts []Inst

@@ -11,8 +11,6 @@
 // ~0.6 Kbps in Table V.
 package power
 
-import "repro/internal/frontend"
-
 // Params calibrates the energy model. Energy is accounted in watt-cycles
 // (average watts times cycles), so dividing by elapsed cycles yields
 // watts directly, independent of clock frequency.
@@ -65,28 +63,47 @@ type Meter struct {
 // NewMeter builds a meter.
 func NewMeter(p Params) *Meter { return &Meter{P: p} }
 
-// AddCycle accrues one cycle of energy given the frontend delta counters
-// for that cycle and the number of micro-ops retired.
-func (m *Meter) AddCycle(d frontend.ThreadCounters, retired int) {
-	m.AddCycleDelta(d.UOpsLSD, d.UOpsDSB, d.UOpsMITE, d.StallCycles, retired)
-}
-
-// AddCycleDelta is AddCycle taking just the four counters the energy
-// model reads, so the per-cycle caller need not assemble a full
-// ThreadCounters struct.
+// AddCycleDelta accrues one cycle of energy from that cycle's delivered
+// micro-ops per frontend path, frontend stall cycles, and retired
+// micro-ops.
 func (m *Meter) AddCycleDelta(uopsLSD, uopsDSB, uopsMITE, stallCycles uint64, retired int) {
 	m.cycles++
+	m.energy += m.CycleEnergy(uopsLSD, uopsDSB, uopsMITE, stallCycles, retired)
+	if m.cycles-m.raplCycle >= m.P.RAPLIntervalCycles {
+		m.publish()
+	}
+}
+
+// CycleEnergy returns the energy, in watt-cycles, of one cycle with the
+// given activity: what AddCycleDelta accrues for it.
+func (m *Meter) CycleEnergy(uopsLSD, uopsDSB, uopsMITE, stallCycles uint64, retired int) float64 {
 	e := m.P.StaticWatts
 	e += float64(uopsLSD) * m.P.EnergyLSDUOp
 	e += float64(uopsDSB) * m.P.EnergyDSBUOp
 	e += float64(uopsMITE) * m.P.EnergyMITEUOp
 	e += float64(retired) * m.P.EnergyRetireUOp
 	e += float64(stallCycles) * m.P.EnergyStallCycle
-	m.energy += e
+	return e
+}
 
-	if m.cycles-m.raplCycle >= m.P.RAPLIntervalCycles {
-		m.publish()
+// Replay accrues a recorded run of cycles, times over: one cycle for
+// each energy in cycles, in order, each as CycleEnergy computed it. The
+// float sum is built in the same order AddCycleDelta builds it, so the
+// energy and RAPL bits are the ones accruing the cycles one by one
+// gives.
+func (m *Meter) Replay(cycles []float64, times uint64) {
+	n, energy := m.cycles, m.energy
+	for ; times > 0; times-- {
+		for _, e := range cycles {
+			n++
+			energy += e
+			if n-m.raplCycle >= m.P.RAPLIntervalCycles {
+				m.cycles, m.energy = n, energy
+				m.publish()
+			}
+		}
 	}
+	m.cycles, m.energy = n, energy
 }
 
 func (m *Meter) publish() {

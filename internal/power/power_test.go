@@ -1,10 +1,6 @@
 package power
 
-import (
-	"testing"
-
-	"repro/internal/frontend"
-)
+import "testing"
 
 func params() Params {
 	p := DefaultParams(2.7)
@@ -15,7 +11,7 @@ func params() Params {
 
 func TestEnergyAccrual(t *testing.T) {
 	m := NewMeter(params())
-	m.AddCycle(frontend.ThreadCounters{UOpsDSB: 4}, 4)
+	m.AddCycleDelta(0, 4, 0, 0, 4)
 	want := m.P.StaticWatts + 4*m.P.EnergyDSBUOp + 4*m.P.EnergyRetireUOp
 	if got := m.TrueEnergy(); got != want {
 		t.Errorf("energy = %v, want %v", got, want)
@@ -24,16 +20,16 @@ func TestEnergyAccrual(t *testing.T) {
 
 func TestPathEnergyOrdering(t *testing.T) {
 	// Figure 9: at equal delivery rates, LSD < DSB < MITE power.
-	mk := func(d frontend.ThreadCounters) float64 {
+	mk := func(lsd, dsb, mite uint64) float64 {
 		m := NewMeter(params())
 		for i := 0; i < 1000; i++ {
-			m.AddCycle(d, 4)
+			m.AddCycleDelta(lsd, dsb, mite, 0, 4)
 		}
 		return AvgWatts(m.TrueEnergy(), m.Cycles())
 	}
-	lsd := mk(frontend.ThreadCounters{UOpsLSD: 4})
-	dsb := mk(frontend.ThreadCounters{UOpsDSB: 4})
-	mite := mk(frontend.ThreadCounters{UOpsMITE: 4})
+	lsd := mk(4, 0, 0)
+	dsb := mk(0, 4, 0)
+	mite := mk(0, 0, 4)
 	if !(lsd < dsb && dsb < mite) {
 		t.Errorf("power ordering violated: LSD=%.1f DSB=%.1f MITE=%.1f", lsd, dsb, mite)
 	}
@@ -41,15 +37,14 @@ func TestPathEnergyOrdering(t *testing.T) {
 
 func TestRAPLUpdateInterval(t *testing.T) {
 	m := NewMeter(params())
-	d := frontend.ThreadCounters{UOpsDSB: 4}
 	for i := 0; i < 50; i++ {
-		m.AddCycle(d, 4)
+		m.AddCycleDelta(0, 4, 0, 0, 4)
 	}
 	if got := m.RAPLRead(); got != 0 {
 		t.Errorf("counter published before interval elapsed: %v", got)
 	}
 	for i := 0; i < 60; i++ {
-		m.AddCycle(d, 4)
+		m.AddCycleDelta(0, 4, 0, 0, 4)
 	}
 	if got := m.RAPLRead(); got == 0 {
 		t.Error("counter not published after interval")
@@ -58,9 +53,8 @@ func TestRAPLUpdateInterval(t *testing.T) {
 
 func TestRAPLQuantization(t *testing.T) {
 	m := NewMeter(params())
-	d := frontend.ThreadCounters{UOpsDSB: 4}
 	for i := 0; i < 200; i++ {
-		m.AddCycle(d, 4)
+		m.AddCycleDelta(0, 4, 0, 0, 4)
 	}
 	v := m.RAPLRead()
 	if q := m.P.RAPLQuantum; v != float64(uint64(v/q))*q {
@@ -88,9 +82,37 @@ func TestAvgWattsZeroCycles(t *testing.T) {
 
 func TestStallEnergy(t *testing.T) {
 	m := NewMeter(params())
-	m.AddCycle(frontend.ThreadCounters{StallCycles: 1}, 0)
+	m.AddCycleDelta(0, 0, 0, 1, 0)
 	want := m.P.StaticWatts + m.P.EnergyStallCycle
 	if got := m.TrueEnergy(); got != want {
 		t.Errorf("stall energy = %v, want %v", got, want)
+	}
+}
+
+// TestReplayMatchesAddCycleDelta pins that replaying recorded per-cycle
+// energies accrues exactly the bits accruing each cycle does, across
+// RAPL publications.
+func TestReplayMatchesAddCycleDelta(t *testing.T) {
+	type activity struct {
+		lsd, dsb, mite, stall uint64
+		retired               int
+	}
+	run := []activity{{4, 0, 0, 0, 4}, {0, 6, 0, 1, 3}, {0, 0, 5, 2, 4}, {0, 0, 0, 0, 0}, {1, 2, 3, 1, 2}}
+	one, replayed := NewMeter(params()), NewMeter(params())
+	energies := make([]float64, len(run))
+	for i, a := range run {
+		energies[i] = replayed.CycleEnergy(a.lsd, a.dsb, a.mite, a.stall, a.retired)
+	}
+	for rep := 0; rep < 77; rep++ {
+		for _, a := range run {
+			one.AddCycleDelta(a.lsd, a.dsb, a.mite, a.stall, a.retired)
+		}
+	}
+	replayed.Replay(energies, 77)
+	if *one != *replayed {
+		t.Fatalf("replayed meter %+v differs from accrued %+v", *replayed, *one)
+	}
+	if one.RAPLRead() == 0 {
+		t.Fatal("the run never published RAPL, so publication went untested")
 	}
 }
